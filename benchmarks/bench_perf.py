@@ -5,10 +5,10 @@ this is a standalone script that measures the *simulator's own* speed
 and writes the numbers to ``BENCH_sim.json`` so regressions show up in
 review diffs and CI can assert a floor:
 
-* engine events/sec on the reference workload for all three engines —
-  ``vector`` (flat-array batch engine), ``fast`` (bulk-arrival cursor)
-  and ``legacy`` (per-arrival injection) — plus a parity check that
-  every engine produces the same summary;
+* engine events/sec on the reference workload for both engines —
+  ``vector`` (flat-array batch engine) and ``fast`` (the event loop
+  with a bulk-arrival cursor) — plus a parity check that both produce
+  the same summary;
 * EventQueue micro-throughput under push/pop and cancel-heavy churn
   (exercising lazy-cancellation compaction);
 * experiment-runner wall-clock for a seeded repeat batch run serially
@@ -45,7 +45,7 @@ from repro.workloads import get_mix  # noqa: E402
 #: heavy / step-Poisson 80 rps x 120 s, 8 nodes, seed 5), measured on
 #: the development machine at the commit before the fast-path work.
 #: Full (non --quick) runs compare against it so BENCH_sim.json records
-#: the cumulative engine speedup, not just the fast-vs-legacy A/B.
+#: the cumulative engine speedup, not just the vector-vs-fast A/B.
 PRE_FASTPATH_BASELINE_EPS = 47_556.0
 
 
@@ -69,7 +69,7 @@ def bench_engine(rate: float, duration: float) -> dict:
     # Warm-up: touch every engine once on a short run so the timed
     # passes don't pay one-off costs (lazy imports, numpy dispatch
     # caches, branch-predictor cold start).
-    for engine in ("vector", "fast", "legacy"):
+    for engine in ("vector", "fast"):
         _reference_run(engine, 10.0, 10.0)
     vec_summary, vec_events, vec_wall = _reference_run(
         "vector", rate, duration
@@ -77,18 +77,10 @@ def bench_engine(rate: float, duration: float) -> dict:
     fast_summary, fast_events, fast_wall = _reference_run(
         "fast", rate, duration
     )
-    legacy_summary, legacy_events, legacy_wall = _reference_run(
-        "legacy", rate, duration
-    )
-    if fast_summary != legacy_summary:
+    if vec_summary != fast_summary:
         raise AssertionError(
-            "fast-path summary diverged from legacy arrival injection"
+            "vector-engine summary diverged from the event-loop engine"
         )
-    if vec_summary != legacy_summary:
-        raise AssertionError(
-            "vector-engine summary diverged from the event-loop engines"
-        )
-    legacy_eps = legacy_events / legacy_wall
     return {
         "workload": {
             "policy": "rscale", "mix": "heavy", "trace": "step-poisson",
@@ -104,16 +96,8 @@ def bench_engine(rate: float, duration: float) -> dict:
             "wall_s": round(fast_wall, 4),
             "events_per_sec": round(fast_events / fast_wall, 1),
         },
-        "legacy_injection": {
-            "events": legacy_events,
-            "wall_s": round(legacy_wall, 4),
-            "events_per_sec": round(legacy_events / legacy_wall, 1),
-        },
-        "fast_vs_legacy_speedup": round(
-            (fast_events / fast_wall) / legacy_eps, 3
-        ),
-        "vector_vs_legacy_speedup": round(
-            (vec_events / vec_wall) / legacy_eps, 3
+        "vector_vs_fast_speedup": round(
+            (vec_events / vec_wall) / (fast_events / fast_wall), 3
         ),
         "parity": True,
     }
@@ -354,16 +338,14 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
     }
 
-    print("engine throughput (vector vs fast vs legacy)...")
+    print("engine throughput (vector vs fast)...")
     report["engine"] = _with_baseline(bench_engine(rate, duration), args.quick)
     eng = report["engine"]
     print(f"  vector: {eng['vector']['events_per_sec']:>10,.0f} events/s "
           f"({eng['vector']['events']} events in {eng['vector']['wall_s']}s)"
-          f"  -> {eng['vector_vs_legacy_speedup']}x legacy")
+          f"  -> {eng['vector_vs_fast_speedup']}x fast, parity ok")
     print(f"  fast:   {eng['fast']['events_per_sec']:>10,.0f} events/s "
           f"({eng['fast']['events']} events in {eng['fast']['wall_s']}s)")
-    print(f"  legacy: {eng['legacy_injection']['events_per_sec']:>10,.0f} "
-          f"events/s  -> speedup {eng['fast_vs_legacy_speedup']}x, parity ok")
 
     print("event-queue micro-bench...")
     report["event_queue"] = bench_event_queue(queue_n)

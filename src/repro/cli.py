@@ -814,9 +814,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_parallel(run_p)
     add_guardrails(run_p)
     run_p.add_argument("--engine", choices=list(ENGINES), default=None,
-                       help="simulation engine: 'legacy' (per-arrival "
-                            "heap events), 'fast' (stream cursor + "
-                            "coalesced ticks, the default) or 'vector' "
+                       help="simulation engine: 'fast' (event loop "
+                            "with a stream cursor + coalesced ticks, the "
+                            "default) or 'vector' "
                             "(flat-array batch engine; bit-identical "
                             "results, several times faster on large "
                             "traces)")

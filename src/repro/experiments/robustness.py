@@ -46,6 +46,8 @@ from typing import Dict, List, Optional
 from repro.experiments import format_table
 from repro.experiments.export import atomic_write_json
 from repro.experiments.runner import ExperimentRunner, TrialSpec
+# Re-exported: the journal verdict lives with the journal schema.
+from repro.serve.journal import journal_conservation  # noqa: F401
 
 #: Forecast corruption: inflate by 30x from the third monitor tick on.
 DIVERGENCE = (("diverge_after", 3), ("diverge_factor", 30.0))
@@ -154,39 +156,6 @@ def run_robustness_study(
         ),
     }
     return out
-
-
-def journal_conservation(records: List[Dict]) -> Dict:
-    """Exactly-once verdict over a journal's records.
-
-    Per unique job id the journal must hold at least one ``admit`` and
-    exactly one terminal record (``complete``/``fail``/``shed``) once
-    the run has drained.  Duplicate admits for the same id are fine —
-    recovery never re-journals admissions, so any duplicate would be a
-    real double-count — but duplicate *terminals* and admitted-without-
-    terminal jobs are conservation failures.
-    """
-    from repro.serve.journal import EV_ADMIT, TERMINAL_EVENTS
-
-    admits: Dict[int, int] = {}
-    terminals: Dict[int, int] = {}
-    for rec in records:
-        job = rec["job"]
-        if rec["ev"] == EV_ADMIT:
-            admits[job] = admits.get(job, 0) + 1
-        elif rec["ev"] in TERMINAL_EVENTS:
-            terminals[job] = terminals.get(job, 0) + 1
-    lost = sorted(j for j in admits if j not in terminals)
-    duplicated = sorted(j for j, n in terminals.items() if n > 1)
-    orphaned = sorted(j for j in terminals if j not in admits)
-    return {
-        "jobs_admitted": len(admits),
-        "jobs_terminal": len(terminals),
-        "lost_jobs": lost,
-        "duplicated_terminals": duplicated,
-        "orphaned_terminals": orphaned,
-        "conserved": not (lost or duplicated or orphaned),
-    }
 
 
 def run_crash_recovery_study(quick: bool = False, seed: int = 7) -> Dict:

@@ -45,6 +45,7 @@ from repro.runtime.system import ClusterSpec
 from repro.serve.config import ServeOptions
 from repro.shard import run_sharded_policy, serve_sharded
 from repro.traces.wits import wits_trace
+from repro.workflow.lifecycle import Outcomes
 from repro.workloads import get_mix
 
 #: WITS flash crowd: 4x average at the spike (paper's burstiest trace).
@@ -127,8 +128,8 @@ def _live_arm(result) -> Dict:
 
 
 def _conserves(arm: Dict) -> bool:
-    return arm["completed"] + arm["failed"] + arm["shed_jobs"] \
-        == arm["jobs"]
+    return Outcomes(arm["jobs"], arm["completed"], arm["failed"],
+                    arm["shed_jobs"]).unsettled == 0
 
 
 def run_failover_study(quick: bool = False, seed: int = 7,

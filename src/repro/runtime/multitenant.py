@@ -26,6 +26,7 @@ from repro.runtime.system import ClusterSpec, ServerlessSystem
 from repro.sim.engine import Simulator
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
+from repro.workflow.lifecycle import drain
 from repro.workloads.mixes import WorkloadMix
 
 
@@ -130,16 +131,15 @@ class MultiTenantSystem:
         central = ticker.add(central_sample)
         horizon = max(s.trace.duration_ms for s in self.specs) + 1.0
         sim.run(until=horizon)
-        drained_until = horizon
-        while (
-            not all(s.all_jobs_done for s in self.systems.values())
-            and drained_until < horizon + self.drain_ms
-        ):
-            drained_until += self.monitor_interval_ms
-            sim.run(until=drained_until)
+        lifecycles = {n: s.lifecycle for n, s in self.systems.items()}
+        drain(lambda t: sim.run(until=t),
+              lambda: all(lc.outcomes().settled for lc in lifecycles.values()),
+              horizon, self.drain_ms, self.monitor_interval_ms)
         for monitor in monitors:
             monitor.stop()
         central.stop()
+        for name, lifecycle in lifecycles.items():
+            lifecycle.outcomes().check(f"tenant {name}")
         return MultiTenantResult(
             tenants={
                 name: system.finalize()

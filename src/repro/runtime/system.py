@@ -44,15 +44,11 @@ from repro.prediction.base import Predictor
 from repro.prediction.classical import EWMAPredictor, MovingWindowAveragePredictor
 from repro.prediction.guarded import GuardedPredictor
 from repro.prediction.windowed import WindowedMaxSampler
-from repro.sim.engine import (
-    ENGINE_LEGACY,
-    ENGINE_VECTOR,
-    Simulator,
-    resolve_engine,
-)
+from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
 from repro.sim.process import CoalescedTicker, PeriodicProcess, TickerSubscription
 from repro.traces.base import ArrivalTrace
 from repro.workflow.job import Job, Task
+from repro.workflow.lifecycle import Lifecycle, drain, stage_expired
 from repro.workflow.pool import FunctionPool
 from repro.workflow.statestore import StateStore
 from repro.workloads.mixes import WorkloadMix
@@ -96,7 +92,6 @@ class ServerlessSystem:
         input_scale_sampler: Optional[Callable[[np.random.Generator], float]] = None,
         fault_model=None,
         tracer: Optional[Tracer] = None,
-        fast_path: bool = True,
         shed_expired: bool = False,
         node_fault_schedule: Optional[NodeFaultSchedule] = None,
         control_blackout: Optional[ControlPlaneBlackout] = None,
@@ -107,21 +102,13 @@ class ServerlessSystem:
         self.cluster_spec = cluster_spec
         self.seed = seed
         self.drain_ms = drain_ms
-        #: Concrete engine driving run(): "legacy", "fast" or "vector"
-        #: (DESIGN.md section 13).  None resolves from ``fast_path`` so
-        #: existing call sites keep their exact behavior.
-        self.engine = resolve_engine(engine, fast_path)
-        if engine is not None:
-            fast_path = self.engine != ENGINE_LEGACY
+        #: Concrete engine driving run(): "fast" (the default) or
+        #: "vector" (DESIGN.md section 13).
+        self.engine = resolve_engine(engine)
         #: Optional request-span tracer.  The simulator and the live
         #: runtime both record spans through the metrics collector, so
         #: either path emits the identical span schema.
         self.tracer = tracer
-        #: Feed arrivals through one self-rescheduling cursor over the
-        #: sorted trace array (heap stays small) instead of
-        #: pre-scheduling every arrival.  Off only for the perf
-        #: harness's legacy-path comparison.
-        self.fast_path = fast_path
         #: Per-run metrics registry backing every pool/collector counter
         #: (re-created by each ``_build``).
         self.registry = MetricsRegistry()
@@ -249,6 +236,8 @@ class ServerlessSystem:
         self.metrics = MetricsCollector(
             self.energy_meter, tracer=self.tracer, registry=self.registry
         )
+        self.lifecycle = Lifecycle(
+            self.metrics, self.registry, self.sampler, store=self.store)
         self.pools = {}
         for name in self.mix.function_names():
             svc = self._service(name)
@@ -323,87 +312,64 @@ class ServerlessSystem:
     # -- request path -----------------------------------------------------------
 
     def _on_arrival(self) -> None:
-        assert self.sim is not None
         now = self.sim.now
         if self.control_blackout is not None and self.control_blackout.covers(now):
-            # Dead control plane: the request is lost at the front door
-            # (created + shed, so the SLO math still sees it) and the
-            # sampler — state that died with the brain — learns nothing.
-            # Mirrors the live Gateway's ``dead`` branch exactly.
-            self.metrics.record_job_created()
-            self.registry.counter("gateway_shed_total").inc()
-            self.registry.counter("control_plane_blackout_lost_total").inc()
+            # Dead control plane: the request is lost at the front door,
+            # like an arrival at the live Gateway's ``dead`` branch.
+            self.lifecycle.lose("control_plane_blackout_lost_total")
             return
+        app, scale = self._draw_request()
+        self._admit(app, scale, now)
+
+    def _draw_request(self):
+        """Draw one arrival's application and input scale."""
         app = self.mix.sample_application(self._rng_apps)
         scale = (
             self.input_scale_sampler(self._rng_apps)
             if self.input_scale_sampler is not None
             else 1.0
         )
-        # Every arrival — shed or not — feeds the sampler and the job
-        # counter, exactly like the live gateway: the predictor must see
-        # offered load, and a shed request is an SLO violation, not a
-        # no-op.
-        self.metrics.record_job_created()
-        self.sampler.record(now)
-        if self.shed_expired and self._deadline_expired(app):
-            self.registry.counter("gateway_shed_total").inc()
-            self.registry.counter("gateway_shed_deadline_total").inc()
+        return app, scale
+
+    def _admit(self, app, scale: float, now: float,
+               extra_latency_ms: float = 0.0) -> None:
+        """Admit (or deadline-shed) one drawn arrival at this gateway;
+        the ingress hop pays the transition overhead plus
+        *extra_latency_ms* (a rerouted arrival's cross-shard hop)."""
+        lifecycle = self.lifecycle
+        lifecycle.arrive(now)
+        if self.shed_expired and lifecycle.shed_if_expired(self.pools, app):
             return
         job = Job(app=app, arrival_ms=now, input_scale=scale)
-        self.store.insert(
-            "jobs", job.job_id, {"app": app.name, "creationTime": now}
-        )
+        lifecycle.admit(job)
         # Ingress hop: the transition overhead precedes every stage.
         self.sim.schedule(
-            app.transition_overhead_ms,
+            app.transition_overhead_ms + extra_latency_ms,
             lambda: self._enqueue_stage(job, 0),
             label="ingress",
         )
 
-    def _deadline_expired(self, app) -> bool:
-        """Deadline-aware admission (mirrors ``Gateway._deadline_expired``):
-        shed only when the first stage's monitored queueing delay alone
-        exceeds the chain's slack *and* no dispatchable capacity is free
-        — a free slot means the observed backlog is already draining."""
-        first_pool = self.pools.get(app.stage_names[0])
-        if first_pool is None:
-            return False
-        if getattr(first_pool, "free_slots", 0) > 0:
-            return False
-        return first_pool.monitored_delay_ms() > app.slack_ms
-
     def _enqueue_stage(self, job: Job, stage_index: int) -> None:
-        task = Task(job=job, stage_index=stage_index, enqueue_ms=self.sim.now)
+        now = self.sim.now
+        if stage_index > 0:
+            self.lifecycle.hop(job, stage_index, now)
+        task = Task(job=job, stage_index=stage_index, enqueue_ms=now)
         pool = self.pools[task.function]
         if (
             self.shed_expired
             and stage_index > 0
-            and task.available_slack_ms(self.sim.now) < 0
-            and getattr(pool, "free_slots", 0) == 0
+            and stage_expired(task.available_slack_ms(now), pool)
         ):
-            # The task is already dead (negative residual slack) and the
-            # stage is saturated: drop it instead of queueing a request
-            # that can only burn capacity.  The job fails terminally so
-            # the drain barrier still converges.
-            pool.record_shed()
-            job.failed_ms = self.sim.now
-            job.failure_reason = "shed-expired"
-            self.metrics.record_job_failed(job)
-            self.store.update(
-                "jobs", job.job_id, {"failedTime": self.sim.now}
-            )
+            # The job fails terminally so the drain barrier still
+            # converges.
+            self.lifecycle.shed_task(task, pool, now)
             return
         pool.enqueue(task)
 
     def _on_task_finished(self, task: Task) -> None:
         job = task.job
         if task.is_last_stage:
-            job.completion_ms = self.sim.now
-            self.metrics.record_job_completed(job)
-            self.store.update(
-                "jobs", job.job_id, {"completionTime": self.sim.now}
-            )
+            self.lifecycle.complete(job, self.sim.now)
         else:
             next_stage = task.stage_index + 1
             self.sim.schedule(
@@ -506,15 +472,11 @@ class ServerlessSystem:
                 "attach to a shared Simulator; use engine='fast'")
         self._build(sim)
         self._trace_name = trace.name
-        if self.fast_path:
-            # Lazy bulk injection: one cursor event walks the sorted
-            # numpy arrival array; the heap never holds more than one
-            # pending arrival.
-            sim.schedule_stream(trace.arrivals_ms, self._on_arrival,
-                                label="arrival")
-        else:
-            for t in trace.arrivals_ms:
-                sim.schedule_at(float(t), self._on_arrival, label="arrival")
+        # Lazy bulk injection: one cursor event walks the sorted numpy
+        # arrival array; the heap never holds more than one pending
+        # arrival.
+        sim.schedule_stream(trace.arrivals_ms, self._on_arrival,
+                            label="arrival")
         # Start from steady state: warm capacity for the trace's opening
         # rate already exists (for SBatch, its full static pool).  A cold
         # platform would otherwise hand every policy an identical
@@ -569,18 +531,6 @@ class ServerlessSystem:
             label="monitor",
         )
 
-    @property
-    def all_jobs_done(self) -> bool:
-        # Shed and terminally-failed jobs never complete; counting them
-        # here keeps the drain loop from spinning to its bound waiting
-        # for requests the system deliberately dropped.
-        settled = (
-            len(self.metrics.completed_jobs)
-            + len(self.metrics.failed_jobs)
-            + int(self.registry.value("gateway_shed_total"))
-        )
-        return self.metrics.jobs_created <= settled
-
     def finalize(self) -> RunResult:
         """Collect this system's RunResult after the simulation ended."""
         assert self.sim is not None, "attach() must run first"
@@ -606,11 +556,11 @@ class ServerlessSystem:
         horizon = trace.duration_ms + 1.0
         sim.run(until=horizon)
         # Drain: let in-flight jobs finish (bounded).
-        drained_until = horizon
-        while not self.all_jobs_done and drained_until < horizon + self.drain_ms:
-            drained_until += self.config.monitor_interval_ms
-            sim.run(until=drained_until)
+        outcomes = self.lifecycle.outcomes
+        drain(lambda t: sim.run(until=t), lambda: outcomes().settled,
+              horizon, self.drain_ms, self.config.monitor_interval_ms)
         monitor.stop()
+        outcomes().check(f"{self.config.name} run of {trace.name}")
         return self.finalize()
 
 
@@ -626,7 +576,6 @@ def run_policy(
     power_model: Optional[NodePowerModel] = None,
     fault_model=None,
     tracer: Optional[Tracer] = None,
-    fast_path: bool = True,
     shed_expired: bool = False,
     node_fault_schedule: Optional[NodeFaultSchedule] = None,
     control_blackout: Optional[ControlPlaneBlackout] = None,
@@ -664,7 +613,6 @@ def run_policy(
             predictor=predictor,
             seed=seed,
             drain_ms=drain_ms,
-            fast_path=fast_path,
             shed_expired=shed_expired,
             engine=engine,
             **config_overrides,
@@ -682,7 +630,6 @@ def run_policy(
         drain_ms=drain_ms,
         fault_model=fault_model,
         tracer=tracer,
-        fast_path=fast_path,
         shed_expired=shed_expired,
         node_fault_schedule=node_fault_schedule,
         control_blackout=control_blackout,

@@ -20,7 +20,7 @@ replays (the Wiki trace at paper scale):
   is identical to the event-loop engines).
 * **Epoch-driven run loop** — the horizon is drained in monitor-epoch
   chunks (:func:`repro.core.vectorized.epoch_boundaries`); scalers,
-  reaping and sampling run at exactly the legacy tick cadence against
+  reaping and sampling run at exactly the event loop's tick cadence against
   duck-typed :class:`VectorPool` objects, so the *decision logic* is
   the real, shared code from ``core/scaling.py``.
 * **Vectorized finalize** — per-job latency breakdowns come from
@@ -79,6 +79,12 @@ from repro.obs.trace import record_job_spans
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.sim.engine import FlatClock
 from repro.workflow.job import Job, _job_ids
+from repro.workflow.lifecycle import (
+    Outcomes,
+    deadline_expired,
+    drain,
+    stage_expired,
+)
 
 __all__ = ["VectorEngineUnsupported", "run_vector"]
 
@@ -104,7 +110,7 @@ _PRUNE_COMPACT = 512
 
 class VectorEngineUnsupported(RuntimeError):
     """This configuration needs per-event machinery the flat loop does
-    not replicate; run it with ``engine="fast"`` (or legacy) instead."""
+    not replicate; run it with ``engine="fast"`` instead."""
 
 
 class VectorContainer:
@@ -194,7 +200,7 @@ class VectorPool:
         self.retired_task_counts: List[int] = []
         self.enq_n = 0           # tasks enqueued (synced at finalize)
         self.done_n = 0          # tasks completed (synced at finalize)
-        # Head-pointer windows (legacy: deques pruned with strict <).
+        # Head-pointer windows (event loop: deques pruned with strict <).
         self.waiting: List[int] = []       # record indices, FIFO
         self.whead = 0
         self.recent_enq: List[float] = []  # enqueue times
@@ -578,7 +584,7 @@ class _VectorEngine:
         uncovered = ~cov
         k = int(np.count_nonzero(uncovered))
         # Uncovered arrivals consume app draws in arrival order; covered
-        # ones consume nothing (the legacy blackout branch returns before
+        # ones consume nothing (the event loop's blackout branch returns before
         # sampling).
         cdf = self.mix._weight_cdf
         drawn = presample_app_indices(cdf, self._rng_apps, k)
@@ -832,12 +838,6 @@ class _VectorEngine:
                 return True
         return False
 
-    def _deadline_expired(self, a: int) -> bool:
-        pool = self.app_first_pool[a]
-        if pool.free_slots > 0:
-            return False
-        return pool.monitored_delay_ms() > self.app_slack[a]
-
     # -- control plane (real scalers at tick cadence) ------------------
 
     def _tick_error(self) -> None:
@@ -921,6 +921,8 @@ class _VectorEngine:
         app_last = self.app_last
         app_rw = self.app_rw
         app_pools = self.app_pools
+        app_first_pool = self.app_first_pool
+        app_slack = self.app_slack
         shed_on = self.shed_on
         terminal = self._terminal
         completed = self._completed_order
@@ -960,7 +962,7 @@ class _VectorEngine:
                     continue
                 sampler_record(at)
                 if shed_on:
-                    if self._deadline_expired(a):
+                    if deadline_expired(app_first_pool[a], app_slack[a]):
                         self._gateway_shed += 1
                         self._shed_deadline += 1
                         continue
@@ -997,7 +999,7 @@ class _VectorEngine:
                 pool = app_pools[a][s]
                 if shed_on and s > 0:
                     key = (job_arrival[j] + app_slo[a]) - app_rw[a][s]
-                    if key - now < 0 and pool.free_slots == 0:
+                    if stage_expired(key - now, pool):
                         # Already-dead task at a saturated stage: shed
                         # without touching its enqueue record.
                         pool._c_shed.inc()
@@ -1099,11 +1101,6 @@ class _VectorEngine:
         self._events = executed
         self.now = until
 
-    def _all_done(self) -> bool:
-        settled = (len(self._completed_order) + len(self._failed)
-                   + self._gateway_shed)
-        return self._created <= settled
-
     # -- epoch stepping (public surface for the sharded plane) ----------
 
     def step_until(self, until: float) -> None:
@@ -1116,9 +1113,9 @@ class _VectorEngine:
         """
         self._run_until(until)
 
-    def all_done(self) -> bool:
-        """True once every created job has settled (drain condition)."""
-        return self._all_done()
+    def outcomes(self) -> Outcomes:
+        return Outcomes(self._created, len(self._completed_order),
+                        len(self._failed), self._gateway_shed)
 
     def finish(self) -> RunResult:
         """Seal the clock and collect this engine's RunResult."""
@@ -1131,11 +1128,9 @@ class _VectorEngine:
         interval = self.config.monitor_interval_ms
         for bound in epoch_boundaries(horizon, interval):
             self.step_until(bound)
-        drained = horizon
-        drain_ms = self.system.drain_ms
-        while not self.all_done() and drained < horizon + drain_ms:
-            drained += interval
-            self.step_until(drained)
+        drain(self.step_until, lambda: self.outcomes().settled, horizon,
+              self.system.drain_ms, interval)
+        self.outcomes().check(f"{self.config.name} run of {trace.name}")
         return self.finish()
 
     # -- vectorized finalize -------------------------------------------
@@ -1146,7 +1141,7 @@ class _VectorEngine:
         n_completed = len(completed)
         n_jobs = self._created
         n_admitted = len(self.job_app)
-        # Sync run counters.  Lazily-created legacy counters (gateway
+        # Sync run counters.  Lazily-created event-loop counters (gateway
         # shed / blackout loss) must stay absent from the registry when
         # zero, for prometheus-export parity.
         self._c_created.set_value(float(n_jobs))

@@ -34,12 +34,14 @@ from repro.serve.journal import (
     JournalLockedError,
     RequestJournal,
     journal_basename,
+    journal_conservation,
 )
 from repro.serve.pool import WorkerPool, WorkerSlot
 from repro.serve.recovery import (
     JournaledJob,
     RecoveryPlan,
     build_recovery_plan,
+    rebuild_job,
     replay_journal,
 )
 from repro.serve.replayer import PlannedArrival, TraceReplayer
@@ -71,6 +73,8 @@ __all__ = [
     "WorkerSlot",
     "build_recovery_plan",
     "journal_basename",
+    "journal_conservation",
+    "rebuild_job",
     "replay_journal",
     "serve_trace",
 ]

@@ -8,7 +8,11 @@ paying the same per-hop transition overhead the simulator models.
 
 Shed requests still count as created (and therefore as SLO violations)
 in the metrics: admission control protects the *system*, it must not
-launder the numbers.
+launder the numbers.  The outcome bookkeeping itself is the shared
+:class:`~repro.workflow.lifecycle.Lifecycle` (DESIGN.md, "Request
+lifecycle"); the gateway adds what only a live path needs — the
+backpressure bound, the in-flight gauge and the guards against stale
+and duplicate task signals.
 """
 
 from __future__ import annotations
@@ -23,8 +27,13 @@ from repro.obs.registry import MetricsRegistry
 from repro.prediction.windowed import WindowedMaxSampler
 from repro.serve.clock import ScaledClock
 from repro.serve.journal import RequestJournal
-from repro.serve.recovery import RECOVERY_EXPIRED_REASON, JournaledJob
+from repro.serve.recovery import (
+    RECOVERY_EXPIRED_REASON,
+    JournaledJob,
+    rebuild_job,
+)
 from repro.workflow.job import Job, Task
+from repro.workflow.lifecycle import Lifecycle, stage_expired
 from repro.workflow.pool import FunctionPool
 from repro.workloads.applications import Application
 from repro.workloads.mixes import WorkloadMix
@@ -58,9 +67,7 @@ class Gateway:
         self.max_pending = max_pending
         self.input_scale_sampler = input_scale_sampler
         self.shed_expired = shed_expired
-        #: Optional write-ahead journal; None = durability off, with a
-        #: code path bit-identical to the pre-journal gateway.
-        self.journal = journal
+        self._apps = {app.name: app for app in mix.applications}
         #: Crash flag: a dead gateway drops everything — arrivals,
         #: pending hop timers, task callbacks.  Its replacement (built
         #: by the recovery path) takes over the shared registry gauges.
@@ -87,8 +94,13 @@ class Gateway:
             "gateway_backpressure_sheds_total")
         self._c_stale = self.registry.counter(
             "gateway_stale_signals_total")
-        self._c_dead_sheds = self.registry.counter(
-            "gateway_dead_sheds_total")
+        # Bumped through the lifecycle; created here so every export
+        # lists it, at zero when nothing died.
+        self.registry.counter("gateway_dead_sheds_total")
+        #: Outcome bookkeeping; *journal* is the optional write-ahead
+        #: log (None = durability off).
+        self.lifecycle = Lifecycle(metrics, self.registry, sampler,
+                                   journal=journal)
         self._idle = asyncio.Event()
         self._idle.set()
 
@@ -149,28 +161,21 @@ class Gateway:
         job counter (a shed request is an SLO violation, not a no-op).
         """
         now = self.clock.now
+        lifecycle = self.lifecycle
         if self.dead:
             # A crashed gateway answers nothing: the request is lost at
-            # the front door (created + shed, so the SLO math still sees
-            # it) and the predictor's sampler — control-plane state that
-            # died with the brain — learns nothing from it.  The
-            # dead-shed counter separates this degraded-routing loss
-            # from ordinary backpressure in the failover accounting.
-            self.metrics.record_job_created()
-            self._c_shed.inc()
-            self._c_dead_sheds.inc()
+            # the front door.  The dead-shed counter separates this
+            # degraded-routing loss from ordinary backpressure in the
+            # failover accounting.
+            lifecycle.lose("gateway_dead_sheds_total")
             return None
-        self.sampler.record(now)
-        self.metrics.record_job_created()
+        lifecycle.arrive(now)
         if self.max_pending and self.in_flight >= self.max_pending:
-            self._c_shed.inc()
-            self._c_backpressure.inc()
+            lifecycle.shed_arrival("gateway_backpressure_sheds_total")
             return None
         if app is None:
             app = self.mix.sample_application(self.rng)
-        if self.shed_expired and self._deadline_expired(app):
-            self._c_shed.inc()
-            self._c_shed_deadline.inc()
+        if self.shed_expired and lifecycle.shed_if_expired(self.pools, app):
             return None
         if input_scale is None:
             input_scale = (
@@ -180,31 +185,13 @@ class Gateway:
             )
         job = Job(app=app, arrival_ms=now, input_scale=input_scale)
         self._jobs[job.job_id] = job
-        if self.journal is not None:
-            self.journal.admit(job)
+        lifecycle.admit(job)
         self._g_in_flight.inc()
         self._c_admitted.inc()
         self._idle.clear()
         # Ingress hop: the transition overhead precedes every stage.
         self._later(app.transition_overhead_ms, job, 0)
         return job
-
-    def _deadline_expired(self, app: Application) -> bool:
-        """Deadline-aware shedding: is this arrival already doomed?
-
-        If the first stage's monitored queueing delay alone exceeds the
-        chain's total slack, the job's residual slack would be negative
-        before it even reached a worker — admitting it cannot meet the
-        SLO and only burns capacity other jobs could use.  A stage with
-        a free dispatchable slot is never shed against: the monitored
-        backlog is already draining, so the delay signal is stale.
-        """
-        first_pool = self.pools.get(app.stage_names[0])
-        if first_pool is None:
-            return False
-        if getattr(first_pool, "free_slots", 0) > 0:
-            return False
-        return first_pool.monitored_delay_ms() > app.slack_ms
 
     def _later(self, overhead_ms: float, job: Job, stage_index: int) -> None:
         asyncio.get_running_loop().call_later(
@@ -219,65 +206,30 @@ class Gateway:
             # A pending hop timer fired into a crashed gateway: the job
             # stays journaled-but-unfinished and recovery requeues it.
             return
-        if self.journal is not None and stage_index > 0:
-            self.journal.hop(job, stage_index, self.clock.now)
-        task = Task(job=job, stage_index=stage_index, enqueue_ms=self.clock.now)
+        now = self.clock.now
+        if stage_index > 0:
+            self.lifecycle.hop(job, stage_index, now)
+        task = Task(job=job, stage_index=stage_index, enqueue_ms=now)
         pool = self.pools[task.function]
         if (
             self.shed_expired
             and stage_index > 0
-            and task.available_slack_ms(self.clock.now) < 0
-            and getattr(pool, "free_slots", 0) == 0
+            and stage_expired(task.available_slack_ms(now), pool)
         ):
-            self._shed_stage_task(task)
+            if self._accepts(job):
+                self.lifecycle.shed_task(task, pool, now)
+                self._settle(job)
             return
         pool.enqueue(task)
 
-    def _shed_stage_task(self, task: Task) -> None:
-        """Drop an already-dead task at an overloaded downstream stage.
-
-        The task's residual slack is negative and the stage has no free
-        capacity: queueing it cannot meet the SLO and only delays live
-        requests.  The job fails terminally (mirroring the simulator's
-        stage-level shed) so ``in_flight`` still converges to zero.
-        """
-        job = task.job
-        if job.terminal:
-            self._c_duplicates.inc()
-            return
-        if self._stale(job):
-            return
-        self.pools[task.function].record_shed()
-        job.failed_ms = self.clock.now
-        job.failure_reason = "shed-expired"
-        self.metrics.record_job_failed(job)
-        self._jobs.pop(job.job_id, None)
-        if self.journal is not None:
-            self.journal.shed(job, self.clock.now, reason="shed-expired")
-        self._settle()
-
     def on_task_finished(self, task: Task) -> None:
-        """Pool callback: advance the chain or complete the job.
-
-        Guarded against double delivery: a job already terminal (a
-        retried attempt's ghost completion racing the original, or a
-        completion arriving after the job was dead-lettered) is counted
-        and dropped — decrementing ``in_flight`` twice would corrupt
-        admission control and wedge or falsify the drain barrier.
-        """
+        """Pool callback: advance the chain or complete the job."""
         job = task.job
-        if job.terminal:
-            self._c_duplicates.inc()
-            return
-        if self._stale(job):
+        if not self._accepts(job):
             return
         if task.is_last_stage:
-            job.completion_ms = self.clock.now
-            self.metrics.record_job_completed(job)
-            self._jobs.pop(job.job_id, None)
-            if self.journal is not None:
-                self.journal.complete(job, self.clock.now)
-            self._settle()
+            self.lifecycle.complete(job, self.clock.now)
+            self._settle(job)
         else:
             self._later(job.app.transition_overhead_ms, job, task.stage_index + 1)
 
@@ -288,19 +240,26 @@ class Gateway:
         zero and the drain barrier converges even when work is lost.
         """
         job = task.job
+        if not self._accepts(job):
+            return
+        self.lifecycle.fail(job, self.clock.now, reason)
+        self._c_dead_lettered.inc()
+        self._settle(job)
+
+    def _accepts(self, job: Job) -> bool:
+        """Guard every signal that would settle or advance *job*.
+
+        A job already terminal (a retried attempt's ghost completion
+        racing the original, or a completion arriving after the job was
+        dead-lettered) is counted as a duplicate and dropped —
+        decrementing ``in_flight`` twice would corrupt admission control
+        and wedge or falsify the drain barrier.  A stale signal is
+        dropped too (see :meth:`_stale`).
+        """
         if job.terminal:
             self._c_duplicates.inc()
-            return
-        if self._stale(job):
-            return
-        job.failed_ms = self.clock.now
-        job.failure_reason = reason
-        self.metrics.record_job_failed(job)
-        self._jobs.pop(job.job_id, None)
-        if self.journal is not None:
-            self.journal.fail(job, self.clock.now, reason=reason)
-        self._c_dead_lettered.inc()
-        self._settle()
+            return False
+        return not self._stale(job)
 
     def _stale(self, job: Job) -> bool:
         """Identity check against the live-job registry.
@@ -316,38 +275,23 @@ class Gateway:
             return True
         return False
 
-    def _settle(self) -> None:
+    def _settle(self, job: Job) -> None:
+        self._jobs.pop(job.job_id, None)
         self._g_in_flight.dec()
         if self.in_flight == 0:
             self._idle.set()
 
     # -- recovery ----------------------------------------------------------
 
-    def _rebuild_job(self, entry: JournaledJob) -> Optional[Job]:
-        """Reconstruct a Job from its journal record (same id/arrival)."""
-        app = next(
-            (a for a in self.mix.applications if a.name == entry.app), None
-        )
-        if app is None:
-            return None
-        return Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            job_id=entry.job_id,
-            input_scale=entry.input_scale,
-        )
-
     def requeue_recovered(self, entry: JournaledJob) -> Optional[Job]:
         """Re-admit a journaled-but-unfinished job after a crash.
 
-        The job keeps its original id, arrival time and input scale (so
-        its SLO clock keeps running across the crash — recovery must
-        not launder latency) and resumes at its furthest journaled
-        stage, paying the ingress transition overhead once more.  Not
-        re-journaled as an admit: its original admit record stands and
-        exactly one terminal record will follow.
+        The rebuilt job resumes at its furthest journaled stage, paying
+        the ingress transition overhead once more.  Not re-journaled as
+        an admit: its original admit record stands and exactly one
+        terminal record will follow.
         """
-        job = self._rebuild_job(entry)
+        job = rebuild_job(entry, self._apps)
         if job is None:
             return None
         self._jobs[job.job_id] = job
@@ -364,15 +308,10 @@ class Gateway:
         record, so admissions == completions + fails + sheds holds.
         Counted outside ``in_flight`` — the job was never re-admitted.
         """
-        job = self._rebuild_job(entry)
+        job = rebuild_job(entry, self._apps)
         if job is None:
             return None
-        job.failed_ms = self.clock.now
-        job.failure_reason = RECOVERY_EXPIRED_REASON
-        self.metrics.record_job_failed(job)
-        if self.journal is not None:
-            self.journal.shed(job, self.clock.now,
-                              reason=RECOVERY_EXPIRED_REASON)
+        self.lifecycle.shed(job, self.clock.now, RECOVERY_EXPIRED_REASON)
         return job
 
     def reset_in_flight(self) -> None:

@@ -31,9 +31,14 @@ shard-failover takeover) reopens the same journal by design.  A lock
 whose pid is still *live* is never stolen: a takeover racing a
 merely-slow shard must refuse and fall back to read-only replay.
 
-Conservation invariant (checked by the crash-recovery study): for every
+Conservation invariant (:func:`journal_conservation`): for every
 unique job id, ``#admit == #complete + #fail + #shed`` once the run has
 drained — journaled admissions equal completions + sheds + dead-letters.
+
+``RequestJournal(None)`` is the same journal held in memory
+(``journal.records``): no file, lock or fsync.  The sharded simulator
+journals through it, so a takeover replays the same records the live
+plane reads from disk.
 """
 
 from __future__ import annotations
@@ -178,23 +183,27 @@ class RequestJournal:
 
     def __init__(
         self,
-        path: PathLike,
+        path: Optional[PathLike],
         fsync_batch: int = DEFAULT_FSYNC_BATCH,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if fsync_batch < 1:
             raise ValueError("fsync_batch must be >= 1")
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self.fsync_batch = fsync_batch
-        # Exactly one live writer per path (see module docstring); the
-        # sentinel is released by close().
-        self._lock = _WriterLock(self.path)
-        # Append mode: a recovered run continues the same journal, so
-        # the full admission history survives any number of crashes.
-        self._handle = self.path.open("a", encoding="utf-8")
         self._buffer: List[str] = []
         self._closed = False
+        #: Every record appended, oldest first (in-memory journals only).
+        self.records: List[Dict] = []
+        self.path = None if path is None else pathlib.Path(path)
+        if self.path is not None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            # Exactly one live writer per path (see module docstring);
+            # the sentinel is released by close().
+            self._lock = _WriterLock(self.path)
+            # Append mode: a recovered run continues the same journal,
+            # so the full admission history survives any number of
+            # crashes.
+            self._handle = self.path.open("a", encoding="utf-8")
         registry = registry if registry is not None else MetricsRegistry()
         self._c_appends = registry.counter("journal_appends_total")
         self._c_fsyncs = registry.counter("journal_fsyncs_total")
@@ -216,8 +225,6 @@ class RequestJournal:
         """
         if self._closed:
             return
-        if durable is None:
-            durable = ev == EV_ADMIT or ev in TERMINAL_EVENTS
         record = {
             "v": JOURNAL_SCHEMA_VERSION,
             "ev": ev,
@@ -225,8 +232,13 @@ class RequestJournal:
             "t": round(float(t_ms), 3),
         }
         record.update(fields)
-        self._buffer.append(json.dumps(record, sort_keys=True))
         self._c_appends.inc()
+        if self.path is None:
+            self.records.append(record)
+            return
+        if durable is None:
+            durable = ev == EV_ADMIT or ev in TERMINAL_EVENTS
+        self._buffer.append(json.dumps(record, sort_keys=True))
         if durable or len(self._buffer) >= self.fsync_batch:
             self.flush()
 
@@ -286,9 +298,10 @@ class RequestJournal:
     def close(self) -> None:
         if self._closed:
             return
-        self.flush()
-        self._handle.close()
-        self._lock.release()
+        if self.path is not None:
+            self.flush()
+            self._handle.close()
+            self._lock.release()
         self._closed = True
 
     # -- read side ---------------------------------------------------------
@@ -322,3 +335,34 @@ class RequestJournal:
             if record.get("ev") in KNOWN_EVENTS:
                 records.append(record)
         return records
+
+
+def journal_conservation(records: List[Dict]) -> Dict:
+    """Exactly-once verdict over a journal's records.
+
+    Per unique job id the journal must hold at least one ``admit`` and
+    exactly one terminal record (``complete``/``fail``/``shed``) once
+    the run has drained.  Duplicate admits for the same id are fine —
+    recovery never re-journals admissions, so any duplicate would be a
+    real double-count — but duplicate *terminals* and admitted-without-
+    terminal jobs are conservation failures.
+    """
+    admits: Dict[int, int] = {}
+    terminals: Dict[int, int] = {}
+    for rec in records:
+        job = rec["job"]
+        if rec["ev"] == EV_ADMIT:
+            admits[job] = admits.get(job, 0) + 1
+        elif rec["ev"] in TERMINAL_EVENTS:
+            terminals[job] = terminals.get(job, 0) + 1
+    lost = sorted(j for j in admits if j not in terminals)
+    duplicated = sorted(j for j, n in terminals.items() if n > 1)
+    orphaned = sorted(j for j in terminals if j not in admits)
+    return {
+        "jobs_admitted": len(admits),
+        "jobs_terminal": len(terminals),
+        "lost_jobs": lost,
+        "duplicated_terminals": duplicated,
+        "orphaned_terminals": orphaned,
+        "conserved": not (lost or duplicated or orphaned),
+    }

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.serve.journal import (
     EV_ADMIT,
@@ -39,6 +39,7 @@ from repro.serve.journal import (
     EV_RETRY,
     TERMINAL_EVENTS,
 )
+from repro.workflow.job import Job
 
 #: Failure reason stamped on jobs expired during recovery.
 RECOVERY_EXPIRED_REASON = "recovery-expired"
@@ -138,6 +139,24 @@ def build_recovery_plan(
         else:
             plan.requeue.append(job)
     return plan
+
+
+def rebuild_job(entry: JournaledJob, apps_by_name: Mapping) -> Optional[Job]:
+    """Reconstruct a recovered job from its journal entry.
+
+    Same id, arrival time and input scale as the original, so its SLO
+    clock keeps running across the crash — recovery must not launder
+    latency.  None when the journaled application is unknown.
+    """
+    app = apps_by_name.get(entry.app)
+    if app is None:
+        return None
+    return Job(
+        app=app,
+        arrival_ms=entry.arrival_ms,
+        job_id=entry.job_id,
+        input_scale=entry.input_scale,
+    )
 
 
 # -- checkpoint restore helpers ---------------------------------------------

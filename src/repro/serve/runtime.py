@@ -140,6 +140,9 @@ class ServingRuntime:
         #: sibling's keyspace serves these before (or instead of) a
         #: trace of its own.
         self.recovered_plan: Optional[tuple] = None
+        #: Jobs adopted from that plan: created by the dead sibling,
+        #: settled here.
+        self._adopted = 0
         #: True when the run ended via SIGTERM/SIGINT/request_shutdown
         #: instead of exhausting its trace.
         self.interrupted: bool = False
@@ -467,15 +470,7 @@ class ServingRuntime:
             restore_store(self._planner.store, checkpoint)
         records = RequestJournal.read_records(self.journal.path)
         plan = build_recovery_plan(records, now_ms, self._slo_ms_for_app)
-        for entry in plan.requeue:
-            self.gateway.requeue_recovered(entry)
-        for entry in plan.expired:
-            self.gateway.expire_recovered(entry)
-        self.registry.counter("recoveries_total").inc()
-        if plan.requeue:
-            self.registry.counter("jobs_requeued_on_recovery").inc(
-                len(plan.requeue)
-            )
+        self._resume(plan.requeue, plan.expired)
         if plan.deduped:
             self.registry.counter("jobs_deduped_on_recovery").inc(
                 len(plan.deduped)
@@ -607,19 +602,27 @@ class ServingRuntime:
             self.options.shard_id, now, purged, dropped,
         )
 
+    def _resume(self, requeue, expired) -> int:
+        """Requeue or expire recovered jobs on the current gateway;
+        returns how many it rebuilt."""
+        rebuilt = 0
+        for entry in requeue:
+            rebuilt += self.gateway.requeue_recovered(entry) is not None
+        for entry in expired:
+            rebuilt += self.gateway.expire_recovered(entry) is not None
+        self.registry.counter("recoveries_total").inc()
+        if requeue:
+            self.registry.counter("jobs_requeued_on_recovery").inc(
+                len(requeue))
+        return rebuilt
+
     def _apply_recovered_plan(self) -> None:
         """Adopt a dead sibling's recovered jobs (takeover runtime)."""
         if self.recovered_plan is None:
             return
         requeue, expired = self.recovered_plan
-        for entry in requeue:
-            self.gateway.requeue_recovered(entry)
-        for entry in expired:
-            self.gateway.expire_recovered(entry)
-        self.registry.counter("recoveries_total").inc()
+        self._adopted = self._resume(requeue, expired)
         if requeue:
-            self.registry.counter("jobs_requeued_on_recovery").inc(
-                len(requeue))
             self.registry.counter(
                 "shard_jobs_requeued_on_failover_total").inc(len(requeue))
         if expired:
@@ -769,6 +772,15 @@ class ServingRuntime:
             self._remove_signal_handlers(loop)
             self._stop_event = None
             executor.shutdown(wait=True)
+        # Exactly once: every created (or adopted) job is settled or
+        # still in flight.  A crashed shard handed its in-flight jobs to
+        # the plane's takeover, so only the inequality holds there.  The
+        # counts outlive gateway epochs (shared collector and registry).
+        outcomes = self.gateway.lifecycle.outcomes()
+        outcomes._replace(created=outcomes.created + self._adopted).check(
+            f"live run of {trace.name}",
+            in_flight=None if self.shard_crashed else self.gateway.in_flight,
+        )
         return self.metrics.finalize(
             policy=self.config.name,
             mix=self.mix.name,

@@ -34,6 +34,7 @@ from repro.serve.config import ServeOptions
 from repro.shard.ring import ConsistentHashRing, DEFAULT_VNODES
 from repro.shard.sim import (
     ShardedRunResult,
+    _checked,
     _shard_seed,
     partition_arrivals,
     plan_node_grants,
@@ -203,8 +204,11 @@ def plane_journal_conservation(
     in the victim's file and exactly one terminal record lands in a
     survivor's takeover file.
     """
-    from repro.experiments.robustness import journal_conservation
-    from repro.serve.journal import RequestJournal, journal_basename
+    from repro.serve.journal import (
+        RequestJournal,
+        journal_basename,
+        journal_conservation,
+    )
 
     directory = pathlib.Path(journal_dir)
     verdicts: Dict[int, Dict] = {}
@@ -568,7 +572,7 @@ def serve_sharded(
             else None,
         )
 
-    return ShardedServeResult(
+    return _checked(ShardedServeResult(
         per_shard=per_shard,
         mode="live",
         orchestration={"ticks": 0, "rebalances": 0, "nodes_moved": 0},
@@ -576,4 +580,4 @@ def serve_sharded(
         journal=journal,
         takeover=takeover,
         failover=failover_info,
-    )
+    ))

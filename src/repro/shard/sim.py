@@ -39,17 +39,12 @@ from repro.cluster.faults import ShardFaultSchedule
 from repro.metrics.collector import RunResult
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
-from repro.serve.journal import (
-    EV_ADMIT,
-    EV_COMPLETE,
-    EV_FAIL,
-    EV_HOP,
-    JOURNAL_SCHEMA_VERSION,
-    TERMINAL_EVENTS,
-)
+from repro.serve.journal import RequestJournal, journal_conservation
 from repro.serve.recovery import (
     RECOVERY_EXPIRED_REASON,
     build_recovery_plan,
+    rebuild_job,
+    replay_journal,
 )
 from repro.shard.failover import (
     OrchestratorSupervisor,
@@ -66,7 +61,7 @@ from repro.shard.ring import ConsistentHashRing, DEFAULT_VNODES
 from repro.sim.engine import ENGINE_VECTOR, Simulator, resolve_engine
 from repro.sim.process import CoalescedTicker
 from repro.traces.base import ArrivalTrace
-from repro.workflow.job import Job
+from repro.workflow.lifecycle import Outcomes, drain
 from repro.workflow.sharded_store import ShardedStateStore
 from repro.workloads.mixes import WorkloadMix
 
@@ -134,15 +129,29 @@ def plan_node_grants(
 # ----------------------------------------------------------------------
 
 class _ClusterShardHandle(ShardHandle):
-    """Grant bookkeeping shared by the event-loop and vector handles."""
+    """Orchestrator adapter over one in-process shard: an event-loop
+    system or a stepped vector engine (*owner*), whose settle counts
+    *outcomes* returns."""
 
-    def __init__(self, shard_id: int, cluster, governor) -> None:
+    def __init__(self, shard_id: int, owner, outcomes) -> None:
         self.shard_id = shard_id
-        self.cluster = cluster
-        self.governor = governor
+        self.owner = owner
+        self.outcomes = outcomes
+        self.cluster = owner.cluster
+        self.governor = owner.governor
         # Only nodes this plane cordoned are grantable — a node killed
         # by a fault schedule must never come back via rebalance.
-        self._cordoned = [n for n in cluster.nodes if n.failed]
+        self._cordoned = [n for n in self.cluster.nodes if n.failed]
+
+    def load_report(self, now_ms: float) -> ShardLoadReport:
+        return ShardLoadReport(
+            shard_id=self.shard_id,
+            now_ms=now_ms,
+            inflight=max(0, self.outcomes().unsettled),
+            warm_containers=sum(
+                p.n_containers for p in self.owner.pools.values()),
+            nodes_granted=self.granted_nodes(),
+        )
 
     def granted_nodes(self) -> int:
         return sum(1 for n in self.cluster.nodes if not n.failed)
@@ -173,53 +182,6 @@ class _ClusterShardHandle(ShardHandle):
             # max_surge=0 means "clamp off" to the governor, so a
             # budgeted shard's share floors at one spawn per tick.
             self.governor.max_surge = max(1, int(max_surge))
-
-
-class _SystemShardHandle(_ClusterShardHandle):
-    """Adapter over an event-loop :class:`ServerlessSystem` shard."""
-
-    def __init__(self, shard_id: int, system: ServerlessSystem) -> None:
-        super().__init__(shard_id, system.cluster, system.governor)
-        self.system = system
-
-    def load_report(self, now_ms: float) -> ShardLoadReport:
-        system = self.system
-        settled = (
-            len(system.metrics.completed_jobs)
-            + len(system.metrics.failed_jobs)
-            + int(system.registry.value("gateway_shed_total"))
-        )
-        return ShardLoadReport(
-            shard_id=self.shard_id,
-            now_ms=now_ms,
-            inflight=max(0, system.metrics.jobs_created - settled),
-            warm_containers=sum(
-                p.n_containers for p in system.pools.values()),
-            nodes_granted=self.granted_nodes(),
-        )
-
-
-class _VectorShardHandle(_ClusterShardHandle):
-    """Adapter over a stepped vector engine shard."""
-
-    def __init__(self, shard_id: int, engine) -> None:
-        super().__init__(shard_id, engine.cluster, engine.governor)
-        self.engine = engine
-
-    def load_report(self, now_ms: float) -> ShardLoadReport:
-        eng = self.engine
-        settled = (
-            len(eng._completed_order) + len(eng._failed)
-            + eng._gateway_shed
-        )
-        return ShardLoadReport(
-            shard_id=self.shard_id,
-            now_ms=now_ms,
-            inflight=max(0, eng._created - settled),
-            warm_containers=sum(
-                p.n_containers for p in eng.pools.values()),
-            nodes_granted=self.granted_nodes(),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -254,31 +216,14 @@ class _ShardSystem(ServerlessSystem):
         #: (the reroute key once this shard is declared dead).
         self._request_ids: Optional[np.ndarray] = None
         self._arrival_cursor = 0
-        #: In-memory mirror of the live WAL (serve record schema), so
+        #: In-memory request journal (the live WAL's records), so
         #: takeover replays the identical recovery-plan builder.
-        self._journal_records: List[Dict] = []
-        self._journal_terminal: Set[int] = set()
+        self.journal: Optional[RequestJournal] = None
         #: Jobs in flight at the crash instant: their zombie completion
         #: signals are dropped — the takeover owns them now.
         self._fenced_jobs: Set[int] = set()
         #: Nodes cordoned by the crash, returned on scripted recovery.
         self._failover_cordoned: List = []
-
-    def _journal(self, ev: str, job_id: int, t_ms: float, **fields) -> None:
-        """Mirror one WAL record (no-op while dead: a crashed shard's
-        journal stops exactly at the crash instant, like the live one)."""
-        if self.failover is None or self.shard_dead:
-            return
-        record = {
-            "v": JOURNAL_SCHEMA_VERSION,
-            "ev": ev,
-            "job": int(job_id),
-            "t": round(float(t_ms), 3),
-        }
-        record.update(fields)
-        self._journal_records.append(record)
-        if ev in TERMINAL_EVENTS:
-            self._journal_terminal.add(int(job_id))
 
     def _on_arrival(self) -> None:
         self._route_seq += 1
@@ -288,10 +233,6 @@ class _ShardSystem(ServerlessSystem):
         super()._on_arrival()
 
     def _enqueue_stage(self, job, stage_index: int) -> None:
-        if self.failover is not None and stage_index > 0 \
-                and job.job_id not in self._journal_terminal:
-            self._journal(EV_HOP, job.job_id, self.sim.now,
-                          stage=int(stage_index))
         if self.stage_routing == "hash" and self.ring is not None:
             key = self._route_keys.setdefault(
                 job.job_id, (self.shard_id << 32) | self._route_seq
@@ -309,11 +250,6 @@ class _ShardSystem(ServerlessSystem):
                 )
                 return
         super()._enqueue_stage(job, stage_index)
-        if (self.failover is not None
-                and job.failure_reason == "shed-expired"
-                and job.job_id not in self._journal_terminal):
-            self._journal(EV_FAIL, job.job_id, self.sim.now,
-                          reason="shed-expired")
 
     def _on_task_finished(self, task) -> None:
         if self.failover is not None \
@@ -325,9 +261,6 @@ class _ShardSystem(ServerlessSystem):
             self.registry.counter("shard_fenced_completions_total").inc()
             return
         super()._on_task_finished(task)
-        if self.failover is not None and task.is_last_stage \
-                and task.job.job_id not in self._journal_terminal:
-            self._journal(EV_COMPLETE, task.job.job_id, self.sim.now)
 
     def _tick_monitor(self, now_ms: float) -> None:
         if self.shard_dead:
@@ -390,6 +323,8 @@ class _ShardFaultPlane:
         )
         for system in systems.values():
             system.failover = self
+            system.journal = RequestJournal(None)
+            system.lifecycle.journal = system.journal
 
     # -- scripted events ----------------------------------------------
 
@@ -400,11 +335,13 @@ class _ShardFaultPlane:
             return
         # Fence first: everything admitted-but-unfinished at this
         # instant is lost here and owed exactly once to the takeover.
-        admits = {
-            r["job"] for r in system._journal_records
-            if r["ev"] == EV_ADMIT
+        # The journal stops at the crash instant, like a live WAL.
+        system._fenced_jobs = {
+            job.job_id
+            for job in replay_journal(system.journal.records).values()
+            if job.in_flight
         }
-        system._fenced_jobs = admits - system._journal_terminal
+        system.lifecycle.journal = None
         system.shard_dead = True
         purged = 0
         for pool in system.pools.values():
@@ -436,6 +373,7 @@ class _ShardFaultPlane:
             return
         now = self.sim.now
         system.shard_dead = False
+        system.lifecycle.journal = system.journal
         for node in system._failover_cordoned:
             node.recover(now)
         system._failover_cordoned = []
@@ -458,53 +396,19 @@ class _ShardFaultPlane:
                 if owner is not None and not owner.shard_dead:
                     owner.registry.counter(
                         "shard_rerouted_arrivals_total").inc()
-                    self._admit(system, owner, now,
-                                extra_latency_ms=owner.cross_shard_hop_ms)
+                    # The dead shard's RNG draws the request, so the
+                    # workload content is invariant to declaration
+                    # timing; the owner runs the job.
+                    app, scale = system._draw_request()
+                    owner._admit(app, scale, now,
+                                 extra_latency_ms=owner.cross_shard_hop_ms)
                     return
             # Degraded routing: the shard is dead but the takeover is
             # not yet in effect — shed with a counter, never silently.
-            system.metrics.record_job_created()
-            system.registry.counter("gateway_shed_total").inc()
-            system.registry.counter("gateway_dead_sheds_total").inc()
+            system.lifecycle.lose("gateway_dead_sheds_total")
             return
-        self._admit(system, system, now)
-
-    def _admit(
-        self,
-        source: _ShardSystem,
-        target: _ShardSystem,
-        now: float,
-        extra_latency_ms: float = 0.0,
-    ) -> None:
-        """Base-system admission plus WAL mirroring.
-
-        *source* supplies the RNG stream (a rerouted arrival keeps the
-        dead shard's draw order, so the workload content is invariant
-        to declaration timing); *target* runs the job.
-        """
-        app = source.mix.sample_application(source._rng_apps)
-        scale = (
-            source.input_scale_sampler(source._rng_apps)
-            if source.input_scale_sampler is not None
-            else 1.0
-        )
-        target.metrics.record_job_created()
-        target.sampler.record(now)
-        if target.shed_expired and target._deadline_expired(app):
-            target.registry.counter("gateway_shed_total").inc()
-            target.registry.counter("gateway_shed_deadline_total").inc()
-            return
-        job = Job(app=app, arrival_ms=now, input_scale=scale)
-        target.store.insert(
-            "jobs", job.job_id, {"app": app.name, "creationTime": now}
-        )
-        target._journal(EV_ADMIT, job.job_id, now,
-                        app=app.name, scale=scale)
-        target.sim.schedule(
-            app.transition_overhead_ms + extra_latency_ms,
-            lambda: target._enqueue_stage(job, 0),
-            label="ingress",
-        )
+        app, scale = system._draw_request()
+        system._admit(app, scale, now)
 
     # -- health sweep + takeover (own cadence, faster than reconcile) --
 
@@ -537,7 +441,7 @@ class _ShardFaultPlane:
         for orch in self.orchestrators:
             orch.remove_shard(shard_id)
         plan = build_recovery_plan(
-            dead._journal_records, now_ms,
+            dead.journal.records, now_ms,
             lambda name: self._slo_by_app.get(name),
         )
         for owner_id, entries in sorted(
@@ -567,51 +471,26 @@ class _ShardFaultPlane:
         Not re-journaled as an admit: the dead shard's admit record
         stands, and the survivor will write the one terminal record.
         """
-        app = self._apps.get(entry.app)
-        if app is None:
+        job = rebuild_job(entry, self._apps)
+        if job is None:
             return
-        job = Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            input_scale=entry.input_scale,
-            job_id=entry.job_id,
-        )
         survivor.registry.counter(
             "shard_jobs_requeued_on_failover_total").inc()
-        stage = max(0, min(int(entry.last_stage), len(app.stages) - 1))
+        stage = max(0, min(int(entry.last_stage), len(job.app.stages) - 1))
         self.sim.schedule(
-            app.transition_overhead_ms + survivor.cross_shard_hop_ms,
+            job.app.transition_overhead_ms + survivor.cross_shard_hop_ms,
             lambda job=job, stage=stage: survivor._enqueue_stage(
                 job, stage),
             label="takeover-requeue",
         )
 
     def _expire(self, survivor: _ShardSystem, entry, now_ms: float) -> None:
-        app = self._apps.get(entry.app)
-        if app is None:
+        job = rebuild_job(entry, self._apps)
+        if job is None:
             return
-        job = Job(
-            app=app,
-            arrival_ms=entry.arrival_ms,
-            input_scale=entry.input_scale,
-            job_id=entry.job_id,
-        )
-        job.failed_ms = now_ms
-        job.failure_reason = RECOVERY_EXPIRED_REASON
-        survivor.metrics.record_job_failed(job)
-        survivor._journal(EV_FAIL, job.job_id, now_ms,
-                          reason=RECOVERY_EXPIRED_REASON)
+        survivor.lifecycle.shed(job, now_ms, RECOVERY_EXPIRED_REASON)
         survivor.registry.counter(
             "shard_jobs_expired_on_failover_total").inc()
-
-    def journal_conservation(self) -> Dict:
-        """Plane-wide exactly-once verdict over every journal mirror."""
-        from repro.experiments.robustness import journal_conservation
-
-        records: List[Dict] = []
-        for shard_id in sorted(self.systems):
-            records.extend(self.systems[shard_id]._journal_records)
-        return journal_conservation(records)
 
 
 # ----------------------------------------------------------------------
@@ -753,7 +632,8 @@ def _run_inprocess_vector(
         system.cordoned_node_ids = list(range(grant, n_nodes))
         engine = VectorEngine(system, sub)
         engines[shard_id] = engine
-        handles.append(_VectorShardHandle(shard_id, engine))
+        handles.append(
+            _ClusterShardHandle(shard_id, engine, engine.outcomes))
 
     orch_registry = MetricsRegistry()
     orchestrator = GlobalOrchestrator(
@@ -767,23 +647,20 @@ def _run_inprocess_vector(
         for handle, share in zip(handles, shares):
             handle.set_surge_budget(share)
 
+    def step_until(bound: float) -> None:
+        for engine in engines.values():
+            engine.step_until(bound)
+
     horizon = trace.duration_ms + 1.0
     next_rebalance = rebalance
     for bound in epoch_boundaries(horizon, interval):
-        for engine in engines.values():
-            engine.step_until(bound)
+        step_until(bound)
         while next_rebalance <= bound:
             orchestrator.reconcile(bound)
             next_rebalance += rebalance
-    drained = horizon
-    drain_ms = system_kwargs["drain_ms"]
-    while (
-        not all(e.all_done() for e in engines.values())
-        and drained < horizon + drain_ms
-    ):
-        drained += interval
-        for engine in engines.values():
-            engine.step_until(drained)
+    drain(step_until,
+          lambda: all(e.outcomes().settled for e in engines.values()),
+          horizon, system_kwargs["drain_ms"], interval)
     return ShardedRunResult(
         per_shard={s: e.finish() for s, e in engines.items()},
         mode="inprocess",
@@ -834,7 +711,8 @@ def _run_inprocess_eventloop(
         system.peers = systems
         system.stage_routing = stage_routing
         system.cross_shard_hop_ms = cross_shard_hop_ms
-        handles.append(_SystemShardHandle(shard_id, system))
+        handles.append(_ClusterShardHandle(
+            shard_id, system, system.lifecycle.outcomes))
 
     orch_registry = MetricsRegistry()
     orchestrator = GlobalOrchestrator(
@@ -905,24 +783,16 @@ def _run_inprocess_eventloop(
         ).add(tick_fn)
 
     def settled() -> bool:
-        # Global drain condition: with hash stage routing a job may
-        # complete on a foreign shard, so per-shard conservation only
-        # holds for the aggregate.
-        created = sum(s.metrics.jobs_created for s in systems.values())
-        done = sum(
-            len(s.metrics.completed_jobs) + len(s.metrics.failed_jobs)
-            + int(s.registry.value("gateway_shed_total"))
-            for s in systems.values()
-        )
-        return created <= done
+        # Global drain condition: with hash stage routing (or after a
+        # takeover) a job may settle on a foreign shard, so per-shard
+        # conservation only holds for the aggregate.
+        return Outcomes.total(
+            s.lifecycle.outcomes() for s in systems.values()).settled
 
     horizon = trace.duration_ms + 1.0
     sim.run(until=horizon)
-    drained = horizon
-    drain_ms = system_kwargs["drain_ms"]
-    while not settled() and drained < horizon + drain_ms:
-        drained += config.monitor_interval_ms
-        sim.run(until=drained)
+    drain(lambda t: sim.run(until=t), settled, horizon,
+          system_kwargs["drain_ms"], config.monitor_interval_ms)
     for monitor in monitors:
         monitor.stop()
     orch_sub.stop()
@@ -959,7 +829,10 @@ def _run_inprocess_eventloop(
             orch_registry.value("shard_failovers_total"))
         result.orchestration["shard_recoveries"] = int(
             orch_registry.value("shard_recoveries_total"))
-        result.orchestration["journal"] = plane.journal_conservation()
+        result.orchestration["journal"] = journal_conservation([
+            record for _, s in sorted(systems.items())
+            for record in s.journal.records
+        ])
     return result
 
 
@@ -974,7 +847,6 @@ def _shard_worker(payload: Dict) -> RunResult:
         drain_ms=payload["drain_ms"],
         engine=payload["engine"],
         shed_expired=payload["shed_expired"],
-        fast_path=payload["fast_path"],
         **payload["overrides"],
     )
 
@@ -987,7 +859,6 @@ def _run_processes(
     shard_workers: int,
     engine: Optional[str],
     shed_expired: bool,
-    fast_path: bool,
     cluster_spec: ClusterSpec,
     seed: int,
     drain_ms: float,
@@ -1012,7 +883,6 @@ def _run_processes(
             "drain_ms": drain_ms,
             "engine": engine,
             "shed_expired": shed_expired,
-            "fast_path": fast_path,
             "overrides": overrides,
         })
     methods = mp.get_all_start_methods()
@@ -1044,7 +914,6 @@ def run_sharded_policy(
     seed: int = 0,
     drain_ms: float = 120_000.0,
     engine: Optional[str] = None,
-    fast_path: bool = True,
     shed_expired: bool = False,
     shard_workers: int = 1,
     rebalance_interval_ms: Optional[float] = None,
@@ -1098,7 +967,7 @@ def run_sharded_policy(
                 "shard faults need the in-process plane "
                 "(shard_workers=1): isolated processes cannot run "
                 "the takeover protocol")
-        if resolve_engine(engine, fast_path) == ENGINE_VECTOR:
+        if resolve_engine(engine) == ENGINE_VECTOR:
             raise ValueError(
                 "shard faults are an event-loop feature; "
                 "use engine='fast'")
@@ -1119,7 +988,7 @@ def run_sharded_policy(
         return run_policy(
             policy_name, mix, trace,
             cluster_spec=cluster_spec, predictor=predictor, seed=seed,
-            drain_ms=drain_ms, engine=engine, fast_path=fast_path,
+            drain_ms=drain_ms, engine=engine,
             shed_expired=shed_expired, **config_overrides,
         )
 
@@ -1134,11 +1003,11 @@ def run_sharded_policy(
                 "hash stage routing needs the in-process plane "
                 "(shard_workers=1): isolated processes cannot "
                 "exchange stage hops")
-        return _run_processes(
+        return _checked(_run_processes(
             policy_name, mix, parts, grants, shard_workers,
-            engine, shed_expired, fast_path, cluster_spec, seed,
+            engine, shed_expired, cluster_spec, seed,
             drain_ms, config_overrides,
-        )
+        ))
 
     from repro.core.policies import make_policy_config
 
@@ -1157,20 +1026,18 @@ def run_sharded_policy(
         "predictor": predictor,
         "seed": seed,
         "drain_ms": drain_ms,
-        "fast_path": fast_path,
         "shed_expired": shed_expired,
     }
-    resolved = resolve_engine(engine, fast_path)
-    if resolved == ENGINE_VECTOR:
+    if resolve_engine(engine) == ENGINE_VECTOR:
         if stage_routing == "hash":
             raise ValueError(
                 "hash stage routing is an event-loop feature; "
                 "use engine='fast'")
-        return _run_inprocess_vector(
+        return _checked(_run_inprocess_vector(
             config_factory, parts, grants, trace, orchestrator_args,
             rebalance_interval_ms, **system_kwargs,
-        )
-    return _run_inprocess_eventloop(
+        ))
+    return _checked(_run_inprocess_eventloop(
         config_factory, parts, grants, trace, orchestrator_args,
         rebalance_interval_ms, stage_routing, cross_shard_hop_ms, ring,
         shard_faults=shard_faults,
@@ -1179,4 +1046,13 @@ def run_sharded_policy(
         failover_hysteresis=failover_hysteresis,
         orchestrator_fail_at_ms=orchestrator_fail_at_ms,
         **system_kwargs,
-    )
+    ))
+
+
+def _checked(result: ShardedRunResult) -> ShardedRunResult:
+    """End a plane run with the conservation check — per plane, since
+    hash routing and takeover settle jobs on a shard other than the
+    one that created them."""
+    Outcomes.of(result).check(
+        f"{result.n_shards}-shard {result.mode} plane")
+    return result

@@ -1,7 +1,5 @@
 """Slack-aware admission control in the simulator + tick containment."""
 
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +7,7 @@ from repro.core.policies import make_policy_config
 from repro.runtime.system import ClusterSpec, ServerlessSystem, run_policy
 from repro.sim.engine import Simulator
 from repro.traces import poisson_trace
+from repro.workflow.lifecycle import deadline_expired
 from repro.workloads import get_application, get_mix
 
 
@@ -22,26 +21,23 @@ class FakePool:
 
 
 def _decider(pool):
-    """A ServerlessSystem with only what ``_deadline_expired`` reads."""
-    system = object.__new__(ServerlessSystem)
+    """The front-door deadline test of ``ipa`` over its first pool."""
     app = get_application("ipa")
-    system.pools = {app.stage_names[0]: pool}
-    system.sim = SimpleNamespace(now=0.0)
-    return system, app
+    return (lambda: deadline_expired(pool, app.slack_ms)), app
 
 
 class TestArrivalAdmissionDecision:
     def test_free_capacity_never_sheds(self):
-        system, app = _decider(FakePool(free_slots=3, delay_ms=1e9))
-        assert not system._deadline_expired(app)
+        expired, app = _decider(FakePool(free_slots=3, delay_ms=1e9))
+        assert not expired()
 
     def test_saturated_stage_with_exhausted_slack_sheds(self):
-        system, app = _decider(FakePool(free_slots=0, delay_ms=1e9))
-        assert system._deadline_expired(app)
+        expired, app = _decider(FakePool(free_slots=0, delay_ms=1e9))
+        assert expired()
 
     def test_saturated_but_timely_stage_admits(self):
-        system, app = _decider(FakePool(free_slots=0, delay_ms=0.0))
-        assert not system._deadline_expired(app)
+        expired, app = _decider(FakePool(free_slots=0, delay_ms=0.0))
+        assert not expired()
 
     @given(st.integers(min_value=0, max_value=64),
            st.floats(min_value=0.0, max_value=1e6,
@@ -51,8 +47,8 @@ class TestArrivalAdmissionDecision:
         """The satellite property: an arrival whose residual slack is
         still positive, or that lands while capacity is free, is never
         shed."""
-        system, app = _decider(FakePool(free_slots, delay_ms))
-        shed = system._deadline_expired(app)
+        expired, app = _decider(FakePool(free_slots, delay_ms))
+        shed = expired()
         if free_slots > 0:
             assert not shed
         elif delay_ms <= app.slack_ms:
